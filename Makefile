@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-nonumpy lint chaos bench-smoke bench docs telemetry-smoke shard-smoke recover-smoke epoch-smoke verify
+.PHONY: test lint chaos bench-smoke bench docs telemetry-smoke shard-smoke recover-smoke epoch-smoke verify
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -38,11 +38,6 @@ shard-smoke:
 	$(PYTHON) -m pytest tests/test_service_shard.py -q
 	REPRO_BENCH_SHARD_SMOKE=1 PYTHONPATH=src:benchmarks $(PYTHON) benchmarks/bench_shard.py
 
-# Tier-1 with the numpy-free kernel backend: proves the optional perf
-# extra never becomes load-bearing (CI runs the same split).
-test-nonumpy:
-	REPRO_KERNEL_BACKEND=python $(PYTHON) -m pytest -x -q
-
 # Documentation gate: every markdown link/anchor resolves and every
 # public-API docstring example still runs.
 docs:
@@ -73,12 +68,13 @@ recover-smoke:
 	REPRO_BENCH_RECOVERY_SMOKE=1 PYTHONPATH=src:benchmarks $(PYTHON) benchmarks/bench_recovery.py
 	$(PYTHON) tools/journal_fsck.py --check benchmarks/results/recovery_journal
 
-# Epoch-delta gate: the delta-vs-replace equivalence/retention suite
-# plus a capped run of the epoch benchmark (its own workload
-# fingerprint so the trend check skips it) proving delta mode answers
-# byte-identically while strictly improving warm-hit rate and p99.
+# Epoch-delta gate: the delta-vs-cold-rebuild equivalence/retention
+# suite plus a capped run of the epoch benchmark (its own workload
+# fingerprint so the trend check skips it) proving delta commits answer
+# byte-identically to a cold rebuild while strictly improving warm-hit
+# rate and p99.
 epoch-smoke:
 	$(PYTHON) -m pytest tests/test_epoch_delta.py -q
 	REPRO_BENCH_EPOCH_SMOKE=1 PYTHONPATH=src:benchmarks $(PYTHON) benchmarks/bench_epoch_delta.py
 
-verify: test test-nonumpy chaos bench-smoke shard-smoke recover-smoke epoch-smoke telemetry-smoke docs
+verify: test chaos bench-smoke shard-smoke recover-smoke epoch-smoke telemetry-smoke docs

@@ -15,10 +15,11 @@ Claims asserted:
   is >= 3x faster,
 * the whole bench stays under a budget-scaled time box.
 
-The artifact also records which kernel backend
-(:mod:`repro.core.perf.kernels`) the optimized run used and its
-batch-size histogram, so perf history distinguishes backend changes
-from algorithmic ones.
+The artifact also records the batch kernels' counters
+(:mod:`repro.core.perf.kernels`) and their batch-size histogram.  The
+``backend`` field is the constant ``"python"`` (big-integer masks, the
+only kernel representation), kept so older artifacts compare like with
+like.
 
 Budgets are env-overridable: REPRO_BENCH_OPT_BUDGET (per-ring budget
 for the optimized run, default 10 s), REPRO_BENCH_REF_BUDGET (seed
@@ -36,7 +37,6 @@ import random
 import time
 
 from repro.core.bfs import SearchBudgetExceeded, bfs_select
-from repro.core.perf.kernels import active_backend_name
 from repro.core.perf.reference import bfs_select_reference
 from repro.core.problem import DamsInstance, InfeasibleError
 from repro.core.ring import Ring, TokenUniverse
@@ -171,7 +171,7 @@ def test_bfs_perf_layer_speedup():
     snapshot = recorder.snapshot()
     kernel_counters = snapshot.get("counters", {})
     kernel = {
-        "backend": active_backend_name(),
+        "backend": "python",
         "batches": kernel_counters.get("kernel.batches", 0),
         "candidates": kernel_counters.get("kernel.candidates", 0),
         "states_built": kernel_counters.get("kernel.states", 0),

@@ -27,8 +27,7 @@ answer:
 * :mod:`~repro.core.perf.kernels` — columnar batch kernels: whole
   strata of candidates are resolved against one cached base world set
   via factorized slice masks (bulk extension, batched HT filtering, a
-  size-0/1/2 DTRS pre-sweep), with interchangeable pure-python and
-  numpy mask backends selected by ``REPRO_KERNEL_BACKEND``.
+  size-0/1/2 DTRS pre-sweep) on big-integer world masks.
 * :mod:`~repro.core.perf.reference` — the seed (pre-optimization)
   algorithms, kept verbatim so equivalence tests and the
   ``BENCH_bfs.json`` benchmark can prove the fast path returns the same
@@ -36,15 +35,7 @@ answer:
 """
 
 from .cache import SolverCache
-from .kernels import (
-    KernelBackend,
-    KernelState,
-    active_backend,
-    active_backend_name,
-    available_backends,
-    prefilter_chunk,
-    use_backend,
-)
+from .kernels import KernelState, batching, prefilter_chunk
 from .matching import IncrementalMatcher
 from .parallel import parallel_map_rings, resolve_workers
 from .worlds import WorldSet
@@ -53,13 +44,9 @@ __all__ = [
     "SolverCache",
     "IncrementalMatcher",
     "WorldSet",
-    "KernelBackend",
     "KernelState",
-    "active_backend",
-    "active_backend_name",
-    "available_backends",
+    "batching",
     "prefilter_chunk",
-    "use_backend",
     "parallel_map_rings",
     "resolve_workers",
 ]

@@ -30,6 +30,7 @@ from typing import Iterable, Sequence
 from ...obs import events
 from ...resilience import faults
 from ..ring import Ring, TokenUniverse
+from .kernels import KernelState
 from .worlds import WorldSet
 
 __all__ = ["SolverCache", "CacheStats", "CacheAdvance"]
@@ -92,12 +93,10 @@ class SolverCache:
         self._components: list[_Component] = []
         self._build_components()
         self._worlds: dict[frozenset[int], WorldSet] = {}
-        # (key, backend name) -> (source WorldSet, KernelState).  Keyed
-        # by WorldSet identity so a chaos-dropped worlds entry also
+        # key -> (source WorldSet, KernelState).  Checked against the
+        # WorldSet's identity so a chaos-dropped worlds entry also
         # invalidates the kernel state derived from it.
-        self._kernel_states: dict[
-            tuple[frozenset[int], str], tuple[WorldSet, object]
-        ] = {}
+        self._kernel_states: dict[frozenset[int], tuple[WorldSet, KernelState]] = {}
 
     # -- component decomposition ------------------------------------------
 
@@ -203,9 +202,9 @@ class SolverCache:
             if key.isdisjoint(touched)
         }
         new._kernel_states = {
-            state_key: entry
-            for state_key, entry in kernel_snapshot.items()
-            if state_key[0].isdisjoint(touched)
+            key: entry
+            for key, entry in kernel_snapshot.items()
+            if key.isdisjoint(touched)
         }
         report = CacheAdvance(
             touched_components=touched,
@@ -267,8 +266,8 @@ class SolverCache:
         return worlds
 
     def kernel_state(
-        self, key: frozenset[int], backend, deadline: float | None = None
-    ):
+        self, key: frozenset[int], deadline: float | None = None
+    ) -> KernelState:
         """The (cached) batch-kernel state of the base worlds under ``key``.
 
         Routes through :meth:`base_worlds` every call — the state is
@@ -277,20 +276,15 @@ class SolverCache:
         :class:`WorldSet` and therefore a rebuilt state.
         """
         worlds = self.base_worlds(key, deadline=deadline)
-        state_key = (key, backend.name)
-        entry = self._kernel_states.get(state_key)
+        entry = self._kernel_states.get(key)
         if entry is not None and entry[0] is worlds:
             return entry[1]
         self.stats.kernel_builds += 1
-        state = backend.build_state(worlds, self.universe)
-        self._kernel_states[state_key] = (worlds, state)
+        state = KernelState(worlds, self.universe)
+        self._kernel_states[key] = (worlds, state)
         if events.enabled():
             events.emit(
-                events.KernelStateBuilt(
-                    rings=len(worlds.rings),
-                    worlds=len(worlds),
-                    backend=backend.name,
-                )
+                events.KernelStateBuilt(rings=len(worlds.rings), worlds=len(worlds))
             )
         return state
 

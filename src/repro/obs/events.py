@@ -173,11 +173,9 @@ class KernelStateBuilt:
 
     rings: int
     worlds: int
-    backend: str
 
     def record(self, recorder: metrics.Recorder) -> None:
         recorder.count("kernel.states")
-        recorder.count(f"kernel.states.{self.backend}")
         recorder.count("kernel.state_worlds", self.worlds)
 
 
@@ -192,7 +190,6 @@ class KernelBatchScanned:
 
     candidates: int
     resolved: int
-    backend: str
 
     def record(self, recorder: metrics.Recorder) -> None:
         recorder.count("kernel.batches")

@@ -8,9 +8,8 @@ through a long-lived daemon instead of one-shot CLI invocations:
   responses, typed rejection/error codes);
 * :mod:`repro.service.state` — chain snapshot epochs and the per-epoch
   warm :class:`~repro.core.perf.cache.SolverCache` /
-  :class:`~repro.core.modules.ModuleUniverse`, advanced across commits
-  either cold (``replace``) or incrementally (``delta``,
-  :class:`EpochDelta`);
+  :class:`~repro.core.modules.ModuleUniverse`, advanced incrementally
+  across commits (:class:`EpochDelta`);
 * :mod:`repro.service.batching` — bounded admission and epoch-aware
   micro-batching;
 * :mod:`repro.service.daemon` — :class:`SelectionService`, the worker
@@ -19,7 +18,8 @@ through a long-lived daemon instead of one-shot CLI invocations:
   deterministic service-level shard key;
 * :mod:`repro.service.router` — :class:`ShardRouter`, batch-keyed
   routing of requests over shard worker processes, each keeping its
-  owned batches' warm caches across commits that touch other batches;
+  owned batches' warm caches across commits that touch other batches,
+  plus the worker side of that dispatch protocol;
 * :mod:`repro.service.server` / :mod:`repro.service.client` — stdio
   and unix-socket front-ends plus the matching client (both serve a
   single daemon or a shard router behind the same ops);
@@ -39,7 +39,7 @@ sequential-cold throughput in ``benchmarks/results/BENCH_service.json``.
 
 from .batching import AdmissionQueue, Batch
 from .client import RetrySpec, ServiceClient, ServiceUnavailable
-from .daemon import PendingResult, SelectionService, ServiceConfig, ShardOutOfSync
+from .daemon import PendingResult, SelectionService, ServiceConfig
 from .journal import Journal, JournalCorruption, JournalError, RecoveredState
 from .partition import TokenPartition
 from .pidfile import AlreadyRunning, PidFile
@@ -51,9 +51,9 @@ from .protocol import (
     SelectRequest,
     SelectResponse,
 )
-from .router import RouterConfig, ShardRouter
+from .router import RouterConfig, ShardOutOfSync, ShardRouter
 from .server import serve_socket, serve_stdio
-from .state import EPOCH_MODES, ChainSnapshot, EpochDelta, ServiceState
+from .state import ChainSnapshot, EpochDelta, ServiceState
 from .telemetry import ServiceTelemetry
 
 __all__ = [
@@ -67,7 +67,6 @@ __all__ = [
     "Batch",
     "ChainSnapshot",
     "EpochDelta",
-    "EPOCH_MODES",
     "ServiceState",
     "ServiceConfig",
     "PendingResult",

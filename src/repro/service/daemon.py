@@ -79,7 +79,6 @@ __all__ = [
     "ServiceConfig",
     "PendingResult",
     "SelectionService",
-    "ShardOutOfSync",
 ]
 
 
@@ -120,13 +119,6 @@ class ServiceConfig:
             in-memory state mutates, so a crash at any point loses no
             acknowledged commit.  ``None`` (the default) keeps the
             purely in-memory behaviour.
-        epoch_mode: what a commit does to the warm caches —
-            ``"replace"`` (the default) rebuilds the snapshot cold;
-            ``"delta"`` advances it via
-            :meth:`~repro.service.state.ChainSnapshot.advance`, keeping
-            warm state for every component/batch the new ring does not
-            touch.  Responses are byte-identical in either mode; only
-            latency and the ``delta.*`` counters differ.
     """
 
     max_queue: int = 256
@@ -139,7 +131,6 @@ class ServiceConfig:
     clock: Clock | None = None
     partition: int | TokenPartition | None = None
     journal: Journal | None = None
-    epoch_mode: str = "replace"
 
 
 @dataclass(slots=True)
@@ -209,11 +200,7 @@ class SelectionService:
         # from independent socket connections).
         self._commit_lock = threading.Lock()
         self.state = ServiceState(
-            universe,
-            rings,
-            partition=partition,
-            epoch=epoch,
-            epoch_mode=self.config.epoch_mode,
+            universe, rings, partition=partition, epoch=epoch
         )
         self.queue: AdmissionQueue[PendingResult] = AdmissionQueue(
             max_depth=self.config.max_queue,
@@ -262,7 +249,7 @@ class SelectionService:
     def commit_ring(
         self, tokens: Sequence[str], c: float, ell: int, rid: str | None = None
     ) -> ChainSnapshot:
-        """Append an accepted ring; advances the epoch (cache invalidation).
+        """Append an accepted ring; advances the epoch (delta advance).
 
         Idempotent by ring id: recommitting a rid already on the chain
         returns the current head unchanged — the dedup a retrying
@@ -393,7 +380,6 @@ class SelectionService:
             "refused": self.queue.refused,
             "epochs_advanced": self.state.epochs_advanced,
             "caches_invalidated": self.state.caches_invalidated,
-            "epoch_mode": self.state.epoch_mode,
             "delta": dict(self.state.delta_counters),
             "counters": counters,
         }
@@ -431,7 +417,6 @@ class SelectionService:
                 max_queue=self.queue.max_depth,
                 draining=draining,
             )
-        payload["epoch_mode"] = self.state.epoch_mode
         payload["delta_commits"] = self.state.delta_counters["commits"]
         if self.recovered is not None:
             payload["recovered"] = dict(self.recovered)
@@ -658,8 +643,8 @@ class SelectionService:
                 # the first solve's answer (pure function of both), with
                 # this request's own identity and batch coordinates.
                 # The epoch is re-stamped because a retained batch memo
-                # can outlive the epoch it was stored under (shard
-                # workers carry untouched batches across commits).
+                # can outlive the epoch it was stored under (partitioned
+                # commits carry untouched batches across epochs).
                 self._bump("memo.hits")
                 if events.enabled():
                     events.emit(events.MemoServed(mode=request.mode))
@@ -765,157 +750,3 @@ class SelectionService:
         with self._counters_lock:
             self.counters[name] = self.counters.get(name, 0) + value
 
-
-# -- shard-worker entry point (repro.service.router) -------------------------
-#
-# Each shard of a ShardRouter is one forked pool process running a
-# SelectionService *without its worker thread*: the router dispatches
-# whole micro-batches (plus commits and stats/metrics/health probes)
-# through `_shard_call`, and the worker serves them synchronously via
-# `SelectionService.execute_requests`.  The worker's ServiceState is
-# partitioned, and its commits retain the untouched batches' warm
-# state — the per-shard cache slice the router exists to keep warm.
-#
-# Pool workers that die are respawned by the pool with the *original*
-# initargs, so a respawned worker is silently back at the initial
-# chain.  Every dispatch therefore carries the router's epoch; a
-# mismatch raises ShardOutOfSync, which the router's supervised retry
-# answers by attaching a full sync (ring log + epoch) to the resend.
-
-
-class ShardOutOfSync(RuntimeError):
-    """A shard worker's chain state lags the router's (needs a sync).
-
-    Raised inside the worker and re-raised by the pool in the router
-    process; the supervised dispatch path treats it like any other
-    worker failure — bounded retry — but attaches the sync payload the
-    respawned worker needs to rebuild state before re-serving.
-    """
-
-    def __init__(self, shard: int, have: int, want: int) -> None:
-        super().__init__(
-            f"shard {shard} is at epoch {have} but the router is at "
-            f"epoch {want}; sync required"
-        )
-        self.shard = shard
-        self.have = have
-        self.want = want
-
-
-#: Per-process shard-worker state, installed by `_init_shard_worker`
-#: (plain module globals — each forked worker has its own copy).
-_SHARD: dict = {}
-
-
-def _init_shard_worker(
-    shard_index: int,
-    owned_batches: tuple[int, ...],
-    universe: TokenUniverse,
-    rings: tuple[Ring, ...],
-    batches: int,
-    config_kwargs: dict,
-    fault_doc: Mapping | None,
-    epoch0: int = 0,
-) -> None:
-    # Forked workers inherit the router's recorder/tracer globals;
-    # uninstall both — shard observability travels back as explicit
-    # stats/metrics payloads, never through an orphaned in-process sink.
-    metrics.set_recorder(None)
-    trace.set_tracer(None)
-    service = SelectionService(
-        universe,
-        rings,
-        ServiceConfig(partition=batches, **config_kwargs),
-        epoch=epoch0,
-    )
-    _SHARD.clear()
-    _SHARD.update(
-        index=shard_index,
-        owned=tuple(owned_batches),
-        service=service,
-        plan=None if fault_doc is None else faults.FaultPlan.from_dict(fault_doc),
-    )
-
-
-def _shard_sync(service: SelectionService, sync: Mapping) -> SelectionService:
-    """Rebuild the worker's chain state from a router-supplied sync."""
-    service.state = ServiceState(
-        service.state.current().universe,
-        tuple(sync["rings"]),
-        partition=service.partition,
-        epoch=int(sync["epoch"]),
-        epoch_mode=service.state.epoch_mode,
-    )
-    return service
-
-
-def _shard_call(payload: Mapping):
-    """The single pool entry point: serve one router dispatch."""
-    shard = _SHARD
-    service: SelectionService = shard["service"]
-    op = payload["op"]
-    if op == "ping":
-        return {"shard": shard["index"], "epoch": service.state.epoch}
-    want = int(payload["epoch"])
-    if want != service.state.epoch:
-        sync = payload.get("sync")
-        if sync is None:
-            raise ShardOutOfSync(shard["index"], service.state.epoch, want)
-        _shard_sync(service, sync)
-        if service.state.epoch != want:
-            raise ShardOutOfSync(shard["index"], service.state.epoch, want)
-    if op == "batch":
-        plan = shard["plan"]
-        if plan is not None:
-            plan.check(
-                "shard.batch",
-                index=int(payload["seq"]),
-                attempt=int(payload["attempt"]),
-            )
-        return service.execute_requests(
-            payload["requests"], batch_id=int(payload["seq"])
-        )
-    if op == "commit":
-        ring: Ring = payload["ring"]
-        head = service.state.current()
-        if any(existing.rid == ring.rid for existing in head.rings):
-            # A retried commit the worker already applied: idempotent.
-            return {"epoch": head.epoch, "rings": len(head.rings)}
-        snapshot = service.state.commit(ring, retain_untouched=True)
-        if service.telemetry is not None:
-            service.telemetry.epoch_advanced(snapshot.epoch, len(snapshot.rings))
-        return {"epoch": snapshot.epoch, "rings": len(snapshot.rings)}
-    if op == "stats":
-        stats = service.stats()
-        stats["shard"] = shard["index"]
-        stats["batches"] = list(shard["owned"])
-        return stats
-    if op == "metrics":
-        labels = {"shard": str(shard["index"])}
-        with service._counters_lock:
-            counters = dict(sorted(service.counters.items()))
-        counters.update(
-            (f"delta.{name}", value)
-            for name, value in sorted(service.state.delta_counters.items())
-        )
-        if service.telemetry is None:
-            from ..obs.telemetry import render_prometheus
-
-            return render_prometheus(
-                {},
-                prefix="repro_service",
-                extra_counters=counters,
-                labels=labels,
-                type_lines=bool(payload.get("type_lines", True)),
-            )
-        return service.telemetry.prometheus(
-            queue_depth=None,
-            service_counters=counters,
-            labels=labels,
-            type_lines=bool(payload.get("type_lines", True)),
-        )
-    if op == "health":
-        health = service.health()
-        health["shard"] = shard["index"]
-        return health
-    raise ValueError(f"unknown shard op {op!r}")

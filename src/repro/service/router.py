@@ -9,10 +9,14 @@ forked worker process running a partitioned
 thread), and every shard keeps the warm ``SolverCache`` /
 ``ModuleUniverse`` / result-memo slices of the batches it owns **across
 commits that touch other batches** — the retention rule of
-:meth:`repro.service.state.ServiceState.commit`.  On a
-commit-interleaved hot-target workload that is the throughput win: the
-single daemon rebuilds its whole warm state at every epoch, the fleet
-rebuilds exactly one batch slice.
+:meth:`repro.service.state.ServiceState.commit`, the same delta advance
+the single daemon runs.  The shards serve disjoint batches from
+separate processes, so one batch's solve never waits behind another's.
+
+This module owns both halves of the router↔worker dispatch protocol:
+the router side (:class:`ShardRouter`) and the worker entry points
+(``_init_shard_worker``, ``_shard_call``, ``_shard_sync``) with their op
+names, ``sync`` payload and epoch guard.
 
 Routing and equivalence
 -----------------------
@@ -45,7 +49,7 @@ Worker dispatches run under
 death-grace machinery the BFS fan-out uses, not a second process
 stack.  A pool respawns a dead worker with the *original* initargs, so
 every dispatch carries the router's epoch: a lagging worker raises
-:class:`~repro.service.daemon.ShardOutOfSync`, and the supervised
+:class:`ShardOutOfSync`, and the supervised
 retry answers by attaching a full sync (ring log + epoch) to the
 resend.  Commits are idempotent by ring id on the worker, so a commit
 retried across a mid-commit death cannot double-apply.  Router-level
@@ -76,15 +80,13 @@ from typing import Mapping, Sequence
 
 from ..core.perf import parallel
 from ..core.ring import Ring, TokenUniverse
-from ..obs import events
+from ..obs import events, metrics, trace
 from ..obs.clock import Clock
+from ..obs.telemetry import render_prometheus
+from ..resilience import faults
 from ..resilience.supervisor import RetryPolicy, WorkerLost, supervised_call
 from .batching import EPOCH_ANY, AdmissionQueue, Batch
-from .daemon import (
-    PendingResult,
-    _init_shard_worker,
-    _shard_call,
-)
+from .daemon import PendingResult, SelectionService, ServiceConfig
 from .journal import Journal, metrics_lines
 from .partition import TokenPartition
 from .protocol import (
@@ -96,7 +98,7 @@ from .protocol import (
 from .state import ChainSnapshot, ServiceState
 from .telemetry import ServiceTelemetry
 
-__all__ = ["RouterConfig", "ShardRouter"]
+__all__ = ["RouterConfig", "ShardOutOfSync", "ShardRouter"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -134,12 +136,6 @@ class RouterConfig:
             same write-ahead discipline as the single daemon; workers
             never touch the journal (they are rebuilt from the mirror
             on respawn/sync).
-        epoch_mode: the shard workers' commit behaviour — ``"replace"``
-            keeps PR-8 semantics (the touched batch starts cold,
-            untouched batches carry over); ``"delta"`` additionally
-            delta-advances the *touched* batch's warm state
-            (:meth:`~repro.service.state.ChainSnapshot.advance`).
-            Responses are byte-identical in either mode.
     """
 
     shards: int = 2
@@ -156,7 +152,6 @@ class RouterConfig:
         default_factory=lambda: RetryPolicy(max_retries=2, hang_timeout=120.0)
     )
     journal: Journal | None = None
-    epoch_mode: str = "replace"
 
 
 class _Shard:
@@ -217,11 +212,7 @@ class ShardRouter:
         # ring log (sync payloads) and commit validation.  Its caches
         # are never built — solving happens in the workers.
         self.state = ServiceState(
-            universe,
-            rings,
-            partition=self.partition,
-            epoch=epoch,
-            epoch_mode=self.config.epoch_mode,
+            universe, rings, partition=self.partition, epoch=epoch
         )
         self._universe = universe
         self._rings0 = tuple(rings)
@@ -265,7 +256,6 @@ class ShardRouter:
             default_budget=self.config.default_budget,
             workers=self.config.workers,
             telemetry=self.config.telemetry,
-            epoch_mode=self.config.epoch_mode,
         )
         fault_doc = (
             None if self.config.fault_plan is None else dict(self.config.fault_plan)
@@ -331,9 +321,9 @@ class ShardRouter:
         The router's mirror commits first (same ``svc:<seq>`` rid rule
         and batch-locality validation as the single daemon — a
         spanning ring raises ``ValueError`` before any worker hears of
-        it), then each shard applies the ring with
-        ``retain_untouched=True``: only the worker owning the touched
-        batch drops warm state, every other slice carries over.  Shard
+        it), then each shard applies the ring through its own delta
+        advance: only the worker owning the touched batch advances
+        that slice, every other slice carries over.  Shard
         application is idempotent by ring id, so supervised retries of
         the broadcast are safe; a shard lost mid-broadcast catches up
         through the epoch guard of its next dispatch.
@@ -639,7 +629,6 @@ class ShardRouter:
             "caches_invalidated": sum(
                 row.get("caches_invalidated", 0) for row in rows
             ),
-            "epoch_mode": self.state.epoch_mode,
             "delta": self._aggregate_delta(rows),
             "counters": counters,
             "shards": rows,
@@ -695,7 +684,6 @@ class ShardRouter:
                 rows.append(raw)
                 if raw.get("health") == "degraded":
                     payload["reasons"].append(f"shard {shard.index} degraded")
-        payload["epoch_mode"] = self.state.epoch_mode
         payload["delta_commits"] = self.state.delta_counters["commits"]
         payload["shards"] = rows
         if self.recovered is not None:
@@ -719,8 +707,6 @@ class ShardRouter:
                 queue_depth=self.queue_depth(), service_counters=counters
             )
         else:
-            from ..obs.telemetry import render_prometheus
-
             body = render_prometheus(
                 {}, prefix="repro_service", extra_counters=counters
             )
@@ -744,3 +730,156 @@ class ShardRouter:
     def _bump(self, name: str, value: int = 1) -> None:
         with self._counters_lock:
             self.counters[name] = self.counters.get(name, 0) + value
+
+
+# -- shard-worker entry points ------------------------------------------------
+#
+# Each shard of a ShardRouter is one forked pool process running a
+# SelectionService *without its worker thread*: the router dispatches
+# whole micro-batches (plus commits and stats/metrics/health probes)
+# through `_shard_call`, and the worker serves them synchronously via
+# `SelectionService.execute_requests`.  The worker's ServiceState is
+# partitioned, so its commits carry the untouched batches' warm state
+# and advance the touched one — the per-shard cache slice the router
+# exists to keep warm.
+#
+# Pool workers that die are respawned by the pool with the *original*
+# initargs, so a respawned worker is silently back at the initial
+# chain.  Every dispatch therefore carries the router's epoch; a
+# mismatch raises ShardOutOfSync, which the router's supervised retry
+# answers by attaching a full sync (ring log + epoch) to the resend.
+
+
+class ShardOutOfSync(RuntimeError):
+    """A shard worker's chain state lags the router's (needs a sync).
+
+    Raised inside the worker and re-raised by the pool in the router
+    process; the supervised dispatch path treats it like any other
+    worker failure — bounded retry — but attaches the sync payload the
+    respawned worker needs to rebuild state before re-serving.
+    """
+
+    def __init__(self, shard: int, have: int, want: int) -> None:
+        super().__init__(
+            f"shard {shard} is at epoch {have} but the router is at "
+            f"epoch {want}; sync required"
+        )
+        self.shard = shard
+        self.have = have
+        self.want = want
+
+
+#: Per-process shard-worker state, installed by `_init_shard_worker`
+#: (plain module globals — each forked worker has its own copy).
+_SHARD: dict = {}
+
+
+def _init_shard_worker(
+    shard_index: int,
+    owned_batches: tuple[int, ...],
+    universe: TokenUniverse,
+    rings: tuple[Ring, ...],
+    batches: int,
+    config_kwargs: dict,
+    fault_doc: Mapping | None,
+    epoch0: int = 0,
+) -> None:
+    # Forked workers inherit the router's recorder/tracer globals;
+    # uninstall both — shard observability travels back as explicit
+    # stats/metrics payloads, never through an orphaned in-process sink.
+    metrics.set_recorder(None)
+    trace.set_tracer(None)
+    service = SelectionService(
+        universe,
+        rings,
+        ServiceConfig(partition=batches, **config_kwargs),
+        epoch=epoch0,
+    )
+    _SHARD.clear()
+    _SHARD.update(
+        index=shard_index,
+        owned=tuple(owned_batches),
+        service=service,
+        plan=None if fault_doc is None else faults.FaultPlan.from_dict(fault_doc),
+    )
+
+
+def _shard_sync(service: SelectionService, sync: Mapping) -> SelectionService:
+    """Rebuild the worker's chain state from a router-supplied sync."""
+    service.state = ServiceState(
+        service.state.current().universe,
+        tuple(sync["rings"]),
+        partition=service.partition,
+        epoch=int(sync["epoch"]),
+    )
+    return service
+
+
+def _shard_call(payload: Mapping):
+    """The single pool entry point: serve one router dispatch."""
+    shard = _SHARD
+    service: SelectionService = shard["service"]
+    op = payload["op"]
+    if op == "ping":
+        return {"shard": shard["index"], "epoch": service.state.epoch}
+    want = int(payload["epoch"])
+    if want != service.state.epoch:
+        sync = payload.get("sync")
+        if sync is None:
+            raise ShardOutOfSync(shard["index"], service.state.epoch, want)
+        _shard_sync(service, sync)
+        if service.state.epoch != want:
+            raise ShardOutOfSync(shard["index"], service.state.epoch, want)
+    if op == "batch":
+        plan = shard["plan"]
+        if plan is not None:
+            plan.check(
+                "shard.batch",
+                index=int(payload["seq"]),
+                attempt=int(payload["attempt"]),
+            )
+        return service.execute_requests(
+            payload["requests"], batch_id=int(payload["seq"])
+        )
+    if op == "commit":
+        ring: Ring = payload["ring"]
+        head = service.state.current()
+        if any(existing.rid == ring.rid for existing in head.rings):
+            # A retried commit the worker already applied: idempotent.
+            return {"epoch": head.epoch, "rings": len(head.rings)}
+        snapshot = service.state.commit(ring)
+        if service.telemetry is not None:
+            service.telemetry.epoch_advanced(snapshot.epoch, len(snapshot.rings))
+        return {"epoch": snapshot.epoch, "rings": len(snapshot.rings)}
+    if op == "stats":
+        stats = service.stats()
+        stats["shard"] = shard["index"]
+        stats["batches"] = list(shard["owned"])
+        return stats
+    if op == "metrics":
+        labels = {"shard": str(shard["index"])}
+        with service._counters_lock:
+            counters = dict(sorted(service.counters.items()))
+        counters.update(
+            (f"delta.{name}", value)
+            for name, value in sorted(service.state.delta_counters.items())
+        )
+        if service.telemetry is None:
+            return render_prometheus(
+                {},
+                prefix="repro_service",
+                extra_counters=counters,
+                labels=labels,
+                type_lines=bool(payload.get("type_lines", True)),
+            )
+        return service.telemetry.prometheus(
+            queue_depth=None,
+            service_counters=counters,
+            labels=labels,
+            type_lines=bool(payload.get("type_lines", True)),
+        )
+    if op == "health":
+        health = service.health()
+        health["shard"] = shard["index"]
+        return health
+    raise ValueError(f"unknown shard op {op!r}")

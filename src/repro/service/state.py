@@ -13,33 +13,25 @@ change only *when* the work happens, never what any request selects.
 A snapshot is immutable.  When the chain grows (a ``commit`` op), the
 service builds a *new* snapshot with the epoch incremented; requests
 pinned to an older epoch are rejected with ``stale_epoch`` rather than
-silently answered against history they did not ask about.  How much of
-the old snapshot's warm state the new one inherits is the service's
-``epoch_mode``:
-
-* ``replace`` (the historical default): the old snapshot's caches
-  become garbage with it — invalidation is whole-snapshot replacement,
-  which is trivially deterministic.
-* ``delta``: the commit is applied as an :class:`EpochDelta` via
-  :meth:`ChainSnapshot.advance` — the solver cache is advanced
-  component-wise, the module decomposition is extended locally under
-  Thm 6.1's superset-or-disjoint rule, and only state the new ring can
-  actually reach is invalidated.  Byte-identical responses to
-  ``replace`` (the caches hold pure derived data), but warm across
-  commits.
+silently answered against history they did not ask about.  Every
+commit is applied as an :class:`EpochDelta` via
+:meth:`ChainSnapshot.advance`: the solver cache is advanced
+component-wise, the module decomposition is extended locally under
+Thm 6.1's superset-or-disjoint rule, and only state the new ring can
+actually reach is invalidated.  The caches hold pure derived data, so
+the advanced snapshot answers byte-identically to a cold rebuild over
+the same rings — the equivalence tests use exactly that rebuild as
+their oracle.
 
 With a :class:`~repro.service.partition.TokenPartition` installed the
 snapshot additionally holds one lazily built *sub-snapshot per batch*
 (the batch's disjoint universe, its batch-local ring history, and that
 slice's own warm cache/modules/memo).  Because batches are disjoint, a
-commit touches exactly one batch, and a ``commit(retain_untouched=True)``
-carries every *other* batch's sub-snapshot — warm state included —
-into the new epoch unchanged: the (universe, rings) pair those batches
-solve against did not move, so everything derived from it is still
-exact.  The single-worker daemon keeps the whole-snapshot invalidation
-above (every commit starts cold); the shard workers of
-:mod:`repro.service.router` use the retaining form, which is where the
-sharded throughput win comes from on a commit-interleaved workload.
+commit touches exactly one batch: the advance carries every *other*
+batch's sub-snapshot — warm state and memo included — into the new
+epoch unchanged, and advances the touched one.  The single-worker
+daemon and the shard workers of :mod:`repro.service.router` share this
+one commit path.
 """
 
 from __future__ import annotations
@@ -55,9 +47,7 @@ from ..core.ring import Ring, TokenUniverse
 from ..obs import events
 from .partition import TokenPartition
 
-__all__ = ["ChainSnapshot", "EpochDelta", "ServiceState", "EPOCH_MODES"]
-
-EPOCH_MODES = ("replace", "delta")
+__all__ = ["ChainSnapshot", "EpochDelta", "ServiceState"]
 
 
 @dataclass(slots=True)
@@ -172,9 +162,9 @@ class ChainSnapshot:
     def advance(self, delta: EpochDelta) -> "ChainSnapshot":
         """The next epoch's snapshot, keeping warm state the ring misses.
 
-        The replace-mode commit builds a cold snapshot and lets this
-        one's caches die with it.  ``advance`` instead carries every
-        derived structure the new ring provably cannot affect:
+        A cold rebuild would re-derive everything from the new ring
+        history.  ``advance`` instead carries every derived structure
+        the new ring provably cannot affect:
 
         * the :class:`SolverCache` is advanced component-wise
           (:meth:`SolverCache.advance`) — world sets and kernel states
@@ -184,8 +174,8 @@ class ChainSnapshot:
           Thm 6.1), falling back to a rebuild when the ring violates
           configuration 1;
         * partitioned, untouched batch sub-snapshots are carried whole
-          (universe and rings unchanged — same argument as
-          ``commit(retain_untouched=True)``) and the *touched* batch's
+          (their universe and rings did not move, so everything derived
+          from them is still exact) and the *touched* batch's
           sub-snapshot is itself advanced rather than dropped;
         * the result memo of any snapshot that gained a ring is cleared:
           a selection is a function of the whole (sub-)history, and the
@@ -195,7 +185,7 @@ class ChainSnapshot:
 
         ``self`` is left untouched; in-flight batches pinned to it keep
         serving against the old epoch.  The result is byte-identical in
-        behavior to a cold rebuild — pinned by the delta-vs-replace
+        behavior to a cold rebuild — pinned by the delta-vs-cold-oracle
         equivalence tests.
         """
         if self.partition is None:
@@ -243,9 +233,9 @@ class ChainSnapshot:
         Selections are pure functions of (snapshot, solve parameters),
         so two identical requests against one snapshot must produce
         identical answers — the daemon stores the first and replays it
-        for the rest.  The memo dies with the snapshot at the next
-        epoch, exactly like the solver cache; only the single worker
-        thread mutates it.
+        for the rest.  :meth:`advance` drops it for every (sub-)snapshot
+        that gains a ring and carries it only with untouched batches;
+        only the single worker thread mutates it.
         """
         return self._memo
 
@@ -264,12 +254,7 @@ class ServiceState:
         rings: Sequence[Ring] = (),
         partition: TokenPartition | None = None,
         epoch: int = 0,
-        epoch_mode: str = "replace",
     ) -> None:
-        if epoch_mode not in EPOCH_MODES:
-            raise ValueError(
-                f"epoch_mode must be one of {EPOCH_MODES}, got {epoch_mode!r}"
-            )
         self._lock = threading.Lock()
         rings = tuple(rings)
         if partition is not None:
@@ -278,8 +263,6 @@ class ServiceState:
         self._head = ChainSnapshot(
             epoch=epoch, universe=universe, rings=rings, partition=partition
         )
-        self.epoch_mode = epoch_mode
-        self.epochs_advanced = 0
         self.caches_invalidated = 0
         self.delta_counters: dict[str, int] = {
             "commits": 0,
@@ -302,27 +285,22 @@ class ServiceState:
     def epoch(self) -> int:
         return self.current().epoch
 
-    def commit(self, ring: Ring, retain_untouched: bool = False) -> ChainSnapshot:
+    @property
+    def epochs_advanced(self) -> int:
+        """Commits applied since construction (every commit is a delta)."""
+        return self.delta_counters["commits"]
+
+    def commit(self, ring: Ring) -> ChainSnapshot:
         """Append an accepted ring; returns the new head snapshot.
 
-        In ``replace`` mode (the default) the new snapshot starts cold
-        (its caches rebuild on first use); the previous epoch's warm
-        state is dropped with the snapshot — that is the deterministic
-        invalidation the epoch counter makes observable.
-
-        In ``delta`` mode the commit routes through
-        :meth:`ChainSnapshot.advance`: warm worlds, kernel states and
-        module decompositions survive for every component/batch the
-        ring does not touch, and the per-commit retention report is
-        accumulated into :attr:`delta_counters`.  ``retain_untouched``
-        is subsumed (delta mode always carries untouched batches).
-
-        With ``retain_untouched`` (partitioned states only — shard
-        workers use it) the commit carries every batch sub-snapshot the
-        ring does *not* touch into the new epoch, warm state included:
-        those batches' (universe, rings) pairs are unchanged, so every
-        derived structure — solver cache, module decomposition, result
-        memo — is still exact.  Only the touched batch starts cold.
+        The commit routes through :meth:`ChainSnapshot.advance`: warm
+        worlds, kernel states and module decompositions survive for
+        every component/batch the ring does not touch, and the
+        per-commit retention report is accumulated into
+        :attr:`delta_counters`.  :attr:`caches_invalidated` counts the
+        commits that dropped warm *solver* state (worlds, kernel
+        states, or a module rebuild); memo drops are counted separately
+        as ``memo_dropped``.
 
         Raises:
             ValueError: duplicate ring id, or (partitioned) a ring that
@@ -335,46 +313,18 @@ class ServiceState:
             touched = None
             if old.partition is not None:
                 touched = old.partition.batch_of_ring(ring.tokens)
-            if self.epoch_mode == "delta":
-                delta = EpochDelta(ring=ring, touched_batch=touched)
-                head = old.advance(delta)
-                self._head = head
-                self.epochs_advanced += 1
-                self.delta_counters["commits"] += 1
-                for name, value in delta.as_counters().items():
-                    self.delta_counters[name] += value
-                # Keep the replace-mode meaning ("warm solver state was
-                # dropped"): memo drops happen on every delta commit and
-                # would turn this into a commit counter; they are already
-                # visible as delta.memo_dropped.
-                if (
-                    delta.worlds_invalidated
-                    or delta.kernel_invalidated
-                    or delta.modules_rebuilt
-                ):
-                    self.caches_invalidated += 1
-            else:
-                head = ChainSnapshot(
-                    epoch=old.epoch + 1,
-                    universe=old.universe,
-                    rings=old.rings + (ring,),
-                    partition=old.partition,
-                )
-                dropped_warm = old.cache_built
-                if retain_untouched and touched is not None:
-                    with old._lock:
-                        carried = {
-                            batch: sub
-                            for batch, sub in old._parts.items()
-                            if batch != touched
-                        }
-                        dropped = old._parts.get(touched)
-                    head._parts.update(carried)
-                    dropped_warm = dropped is not None and dropped.cache_built
-                self._head = head
-                self.epochs_advanced += 1
-                if dropped_warm:
-                    self.caches_invalidated += 1
+            delta = EpochDelta(ring=ring, touched_batch=touched)
+            head = old.advance(delta)
+            self._head = head
+            self.delta_counters["commits"] += 1
+            for name, value in delta.as_counters().items():
+                self.delta_counters[name] += value
+            if (
+                delta.worlds_invalidated
+                or delta.kernel_invalidated
+                or delta.modules_rebuilt
+            ):
+                self.caches_invalidated += 1
         if events.enabled():
             events.emit(events.EpochAdvanced(epoch=head.epoch, rings=len(head.rings)))
         return head

@@ -23,6 +23,20 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fig99"])
 
+    def test_serve_epoch_mode_accepts_only_delta(self, capsys):
+        # Older command lines (perfbench's load generator among them) still
+        # pass `--epoch-mode delta`; any other value is a usage error,
+        # never silently ignored.
+        parser = build_parser()
+        args = parser.parse_args(
+            ["serve", "--socket", "s.sock", "--journal", "j", "--epoch-mode", "delta"]
+        )
+        assert args.command == "serve"
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(["serve", "--epoch-mode", "replace"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'replace'" in capsys.readouterr().err
+
 
 class TestExecution:
     def test_fig3_runs(self, capsys):

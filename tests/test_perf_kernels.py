@@ -1,13 +1,12 @@
-"""Cross-backend equivalence of the columnar batch kernels.
+"""Equivalence of the columnar batch kernels.
 
-The kernel contract: verdicts are exact, per-candidate, and backend-
-independent — pure-python big-int masks, numpy boolean columns, and
-batching turned off entirely must all leave ``bfs_select`` (and the
-per-candidate event stream it emits) byte-identical to the frozen seed
-reference.  These tests pin that contract, the factorized
-``extend_batch`` against the materializing ``WorldSet.extend``, the
-verdict semantics against the seed feasibility check, backend
-selection/override, and the deadline-abort path.
+The kernel contract: verdicts are exact and per-candidate — the
+batched big-int mask pre-filter and batching turned off entirely must
+both leave ``bfs_select`` (and the per-candidate event stream it emits)
+byte-identical to the frozen seed reference.  These tests pin that
+contract, the factorized ``extend_batch`` against the materializing
+``WorldSet.extend``, the verdict semantics against the seed feasibility
+check, the batching switch, and the deadline-abort path.
 """
 
 import random
@@ -19,11 +18,9 @@ from repro.core.perf import kernels
 from repro.core.perf.cache import SolverCache
 from repro.core.perf.kernels import (
     KERNEL_BATCH_SIZE,
-    NUMPY_BACKEND,
-    PYTHON_BACKEND,
+    KernelState,
+    batching,
     prefilter_chunk,
-    resolve_backend,
-    use_backend,
 )
 from repro.core.perf.reference import (
     _candidate_feasible_reference,
@@ -33,11 +30,6 @@ from repro.core.perf.worlds import WorldSet
 from repro.core.problem import DamsInstance, InfeasibleError
 from repro.core.ring import Ring, TokenUniverse
 from repro.obs import events, metrics
-
-HAVE_NUMPY = "numpy" in kernels.available_backends()
-BACKENDS = ["python"] + (["numpy"] if HAVE_NUMPY else [])
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
-
 
 def random_instance(seed, token_count=8, ht_count=4, history=2):
     rng = random.Random(seed)
@@ -74,47 +66,17 @@ def outcomes_of(solver, instance, **kwargs):
     )
 
 
-class TestBackendSelection:
-    def test_resolve_names(self):
-        assert resolve_backend("python") is PYTHON_BACKEND
-        assert resolve_backend("off") is None
-        assert resolve_backend("OFF") is None
-
-    def test_auto_picks_python(self):
-        # auto is the measured-fastest backend at realistic world
-        # counts, numpy-installed or not; numpy is explicit opt-in.
-        assert resolve_backend("auto") is PYTHON_BACKEND
-        if HAVE_NUMPY:
-            assert resolve_backend("numpy") is NUMPY_BACKEND
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(kernels.ENV_BACKEND, "python")
-        assert resolve_backend() is PYTHON_BACKEND
-        monkeypatch.setenv(kernels.ENV_BACKEND, "off")
-        assert resolve_backend() is None
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            resolve_backend("fortran")
-
-    def test_numpy_requested_but_missing(self, monkeypatch):
-        monkeypatch.setattr(kernels, "_import_numpy", lambda: None)
-        with pytest.raises(RuntimeError, match="perf"):
-            resolve_backend("numpy")
-        # auto degrades silently to the pure-python path instead.
-        assert resolve_backend("auto") is PYTHON_BACKEND
-
-    def test_use_backend_restores_previous(self):
-        before = kernels.active_backend()
-        with use_backend("off") as backend:
-            assert backend is None
-            assert kernels.active_backend() is None
-        assert kernels.active_backend() is before
+class TestBatchingSwitch:
+    def test_batching_switch_restores_previous(self):
+        assert kernels._BATCHING
+        with batching(False):
+            assert not kernels._BATCHING
+        assert kernels._BATCHING
 
     def test_off_disables_prefiltering(self):
         instance = random_instance(0)
         cache = SolverCache(instance.universe, instance.rings)
-        with use_backend("off"):
+        with batching(False):
             assert prefilter_chunk(instance, cache, [("t1",)]) is None
 
 
@@ -123,9 +85,8 @@ def make_ring(rid, tokens, seq=0):
 
 
 class TestExtendBatch:
-    @pytest.mark.parametrize("backend_name", BACKENDS)
     @pytest.mark.parametrize("seed", range(10))
-    def test_counts_match_materialized_extend(self, backend_name, seed):
+    def test_counts_match_materialized_extend(self, seed):
         rng = random.Random(seed)
         tokens = [f"t{i}" for i in range(9)]
         universe = TokenUniverse({t: f"h{i % 4}" for i, t in enumerate(tokens)})
@@ -134,8 +95,7 @@ class TestExtendBatch:
             for i in range(rng.randint(1, 3))
         ]
         worlds = WorldSet(rings)
-        backend = resolve_backend(backend_name)
-        state = backend.build_state(worlds, universe)
+        state = KernelState(worlds, universe)
         candidates = [
             frozenset(rng.sample(tokens, rng.randint(1, 4))) for _ in range(8)
         ]
@@ -146,59 +106,19 @@ class TestExtendBatch:
                 f"extension count diverged for {sorted(cand_tokens)}"
             )
 
-    @needs_numpy
-    @pytest.mark.parametrize("seed", range(6))
-    def test_numpy_masks_equal_python_masks(self, seed):
-        rng = random.Random(300 + seed)
-        tokens = [f"t{i}" for i in range(8)]
-        universe = TokenUniverse({t: f"h{i % 3}" for i, t in enumerate(tokens)})
-        rings = [
-            make_ring(f"r{i}", rng.sample(tokens, rng.randint(2, 4)), seq=i)
-            for i in range(rng.randint(1, 3))
-        ]
-        worlds = WorldSet(rings)
-        py = PYTHON_BACKEND.build_state(worlds, universe)
-        np_state = NUMPY_BACKEND.build_state(worlds, universe)
-
-        def int_bits(mask):
-            return {w for w in range(len(worlds)) if mask >> w & 1}
-
-        def arr_bits(mask):
-            return {int(w) for w in mask.nonzero()[0]}
-
-        assert len(py.rows) == len(np_state.rows)
-        for py_row, np_row in zip(py.rows, np_state.rows):
-            assert py_row.token_masks.keys() == np_row.token_masks.keys()
-            for name in py_row.token_masks:
-                assert int_bits(py_row.token_masks[name]) == arr_bits(
-                    np_row.token_masks[name]
-                )
-            assert py_row.ht_masks.keys() == np_row.ht_masks.keys()
-            for ht in py_row.ht_masks:
-                assert int_bits(py_row.ht_masks[ht]) == arr_bits(
-                    np_row.ht_masks[ht]
-                )
-        assert py.presence.keys() == np_state.presence.keys()
-        for name in py.presence:
-            assert int_bits(py.presence[name]) == arr_bits(
-                np_state.presence[name]
-            )
-
 
 class TestVerdictSemantics:
-    @pytest.mark.parametrize("backend_name", BACKENDS)
     @pytest.mark.parametrize("seed", range(10))
-    def test_resolved_verdicts_match_seed_feasibility(self, backend_name, seed):
+    def test_resolved_verdicts_match_seed_feasibility(self, seed):
         # Large histories force closures of 4+ rings: the sweep has no
         # size bound, so every verdict must be exact even there.
         instance = random_instance(1000 + seed, token_count=9, history=4)
         cache = SolverCache(instance.universe, instance.rings)
-        backend = resolve_backend(backend_name)
         sigma = sorted(instance.candidate_mixins())
         from itertools import combinations
 
         chunk = [combo for combo in combinations(sigma, 2)][:KERNEL_BATCH_SIZE]
-        verdicts = prefilter_chunk(instance, cache, chunk, backend=backend)
+        verdicts = prefilter_chunk(instance, cache, chunk)
         assert verdicts is not None and len(verdicts) == len(chunk)
         for mixin_tuple, verdict in zip(chunk, verdicts):
             candidate = instance.make_ring(mixin_tuple)
@@ -211,54 +131,50 @@ class TestVerdictSemantics:
                     f"kernel filtered at {verdict} but seed accepts {mixin_tuple}"
                 )
 
-    @pytest.mark.parametrize("backend_name", BACKENDS)
-    def test_every_candidate_resolves(self, backend_name):
+    def test_every_candidate_resolves(self):
         # The sweep is complete at any closure size — no candidate is
         # ever deferred to the per-candidate tail.
         instance = random_instance(7, history=2)
         cache = SolverCache(instance.universe, instance.rings)
-        backend = resolve_backend(backend_name)
         sigma = sorted(instance.candidate_mixins())
         from itertools import combinations
 
         chunk = list(combinations(sigma, 2))[:KERNEL_BATCH_SIZE]
-        verdicts = prefilter_chunk(instance, cache, chunk, backend=backend)
+        verdicts = prefilter_chunk(instance, cache, chunk)
         assert verdicts is not None
         assert set(verdicts) <= {"ht", "eliminated", "dtrs", "feasible"}
 
 
 class TestBfsEquivalence:
-    @pytest.mark.parametrize("backend_name", BACKENDS + ["off"])
+    @pytest.mark.parametrize("batched", [True, False], ids=["on", "off"])
     @pytest.mark.parametrize("seed", range(8))
-    def test_backend_equals_reference(self, backend_name, seed):
+    def test_batching_equals_reference(self, batched, seed):
         instance = random_instance(seed, history=3)
-        with use_backend(backend_name):
+        with batching(batched):
             ours = outcomes_of(bfs_select, instance)
         assert ours == outcomes_of(bfs_select_reference, instance), (
-            f"backend {backend_name} diverged on seed {seed}"
+            f"batching={batched} diverged on seed {seed}"
         )
 
-    @pytest.mark.parametrize("backend_name", BACKENDS)
     @pytest.mark.parametrize("seed", range(4))
-    def test_parallel_equals_serial_per_backend(self, backend_name, seed):
+    def test_parallel_equals_serial(self, seed):
         instance = random_instance(40 + seed, history=3)
-        with use_backend(backend_name):
-            serial = outcomes_of(bfs_select, instance)
-            parallel = outcomes_of(bfs_select, instance, workers=2)
+        serial = outcomes_of(bfs_select, instance)
+        parallel = outcomes_of(bfs_select, instance, workers=2)
         assert parallel == serial
 
     @pytest.mark.parametrize("seed", range(6))
     def test_sequential_chain_identical_across_backends(self, seed):
         # Fig-4-style chains: each accepted ring joins the next
-        # instance's history, compounding any verdict bug.  All
-        # backends (and batching off) must produce identical chains.
-        def run_chain(backend_name):
+        # instance's history, compounding any verdict bug.  Batching on
+        # and off must produce identical chains.
+        def run_chain(batched):
             rng = random.Random(2000 + seed)
             universe = TokenUniverse(
                 {f"t{i:02d}": f"h{rng.randrange(5)}" for i in range(12)}
             )
             rings, out, consumed = [], [], set()
-            with use_backend(backend_name):
+            with batching(batched):
                 for index in range(3):
                     free = sorted(universe.tokens - consumed)
                     target = free[rng.randrange(len(free))]
@@ -279,10 +195,7 @@ class TestBfsEquivalence:
                     consumed.add(target)
             return out
 
-        chains = {name: run_chain(name) for name in BACKENDS + ["off"]}
-        baseline = chains["off"]
-        for name, chain in chains.items():
-            assert chain == baseline, f"backend {name} chain diverged"
+        assert run_chain(True) == run_chain(False), "batched chain diverged"
 
     @pytest.mark.parametrize("seed", range(4))
     def test_candidate_events_identical_across_backends(self, seed):
@@ -291,8 +204,8 @@ class TestBfsEquivalence:
         # the deterministic view — must match with batching on or off.
         instance = random_instance(90 + seed, history=3)
 
-        def bfs_counters(backend_name):
-            with use_backend(backend_name):
+        def bfs_counters(batched):
+            with batching(batched):
                 with metrics.recording() as rec:
                     outcomes_of(bfs_select, instance)
             return {
@@ -303,12 +216,9 @@ class TestBfsEquivalence:
                 if name.startswith("bfs.")
             }
 
-        baseline = bfs_counters("off")
+        baseline = bfs_counters(False)
         assert baseline.get("bfs.candidates")
-        for name in BACKENDS:
-            assert bfs_counters(name) == baseline, (
-                f"backend {name} event stream diverged"
-            )
+        assert bfs_counters(True) == baseline, "batched event stream diverged"
 
 
 class TestDeadlines:
@@ -323,23 +233,17 @@ class TestDeadlines:
         ]
         return DamsInstance(universe, rings, "t0", c=1.0, ell=1)
 
-    @pytest.mark.parametrize("backend_name", BACKENDS)
-    def test_prefilter_returns_none_on_expired_deadline(self, backend_name):
+    def test_prefilter_returns_none_on_expired_deadline(self):
         instance = self.blowup_instance()
         cache = SolverCache(instance.universe, instance.rings)
-        backend = resolve_backend(backend_name)
-        verdicts = prefilter_chunk(
-            instance, cache, [("t1",)], deadline=0.0, backend=backend
-        )
+        verdicts = prefilter_chunk(instance, cache, [("t1",)], deadline=0.0)
         assert verdicts is None  # state build aborted, caller falls back
 
-    @pytest.mark.parametrize("backend_name", BACKENDS)
-    def test_budget_trips_inside_candidate(self, backend_name):
+    def test_budget_trips_inside_candidate(self):
         import time as time_module
 
         instance = self.blowup_instance()
         start = time_module.perf_counter()
-        with use_backend(backend_name):
-            with pytest.raises(SearchBudgetExceeded):
-                bfs_select(instance, time_budget=0.3)
+        with pytest.raises(SearchBudgetExceeded):
+            bfs_select(instance, time_budget=0.3)
         assert time_module.perf_counter() - start < 5.0

@@ -164,17 +164,25 @@ def test_stale_epoch_rejected_mid_batch_without_poisoning_mates():
 
 
 def test_commit_invalidates_warm_cache_deterministically():
+    """A commit drops exactly the warm solver state its ring reaches."""
     service = SelectionService(small_universe(), history())
     service.start()
     try:
         first = service.submit_wait(request("w1"), 30.0)
         second = service.submit_wait(request("w2", target="t4"), 30.0)
         assert not first.warm_cache and second.warm_cache
+        # Disjoint from the {t1, t2} component: every warm entry survives.
         service.commit_ring(["t3", "t4"], c=2.0, ell=2)
-        third = service.submit_wait(request("w3", target="t5"), 30.0)
-        assert not third.warm_cache  # new epoch starts cold
+        assert service.state.caches_invalidated == 0
+        # Overlaps it: the world sets keyed off that component go.
+        service.commit_ring(["t2", "t5"], c=2.0, ell=2)
+        third = service.submit_wait(request("w3", target="t6"), 30.0)
+        assert third.warm_cache  # advanced, not rebuilt from scratch
     finally:
         service.stop()
+    counters = service.state.delta_counters
+    assert counters["commits"] == 2
+    assert counters["worlds_invalidated"] == 1
     assert service.state.caches_invalidated == 1
 
 

@@ -445,14 +445,14 @@ def test_daemon_recovery_matches_uncrashed_twin(tmp_path):
         assert "repro_service_recovered_frames_replayed 1" in twin.metrics_text()
 
 
-def test_recovery_replay_equivalent_in_both_epoch_modes(tmp_path):
-    """Journal replay lands on the same answers under replace and delta.
+def test_recovery_replay_equivalent_after_delta_commits(tmp_path):
+    """Journal replay of a warm, delta-advanced daemon lands on the same answers.
 
-    The WAL records chain growth, not cache policy — ``epoch_mode`` is
-    a serving knob of the daemon that replays it.  A crashed delta-mode
-    daemon may therefore be recovered into either mode (and vice
-    versa): both twins, *and* their post-recovery delta/replace
-    commits, must answer byte-identically to the uncrashed reference.
+    The WAL records chain growth, not cache state: the crashed daemon
+    delta-advanced warm snapshots between commits, the recovered twin
+    starts cold from the replayed rings and then delta-advances one
+    more commit itself — and must answer byte-identically to the
+    uncrashed reference.
     """
     universe = recovery_universe()
     part = TokenPartition(universe, batches=4)
@@ -463,8 +463,7 @@ def test_recovery_replay_equivalent_in_both_epoch_modes(tmp_path):
     journal = Journal(tmp_path / "j", sync_every=1, snapshot_every=0)
     journal.append_genesis(universe, (), 4)
     with SelectionService(
-        universe,
-        config=ServiceConfig(journal=journal, partition=4, epoch_mode="delta"),
+        universe, config=ServiceConfig(journal=journal, partition=4)
     ) as crashed:
         for i, (rid, tokens) in enumerate(commits):
             # Warm each batch between commits so the delta advances
@@ -479,37 +478,30 @@ def test_recovery_replay_equivalent_in_both_epoch_modes(tmp_path):
 
     recovered = Journal(tmp_path / "j").recover()
     assert recovered.epoch == 4
-    twins = {
-        mode: SelectionService(
-            recovered.universe,
-            recovered.rings,
-            ServiceConfig(partition=recovered.batches, epoch_mode=mode),
-            epoch=recovered.epoch,
-            recovered=recovered.recovery,
-        )
-        for mode in ("replace", "delta")
-    }
+    twin = SelectionService(
+        recovered.universe,
+        recovered.rings,
+        ServiceConfig(partition=recovered.batches),
+        epoch=recovered.epoch,
+        recovered=recovered.recovery,
+    )
     uncrashed = SelectionService(universe, config=ServiceConfig(partition=4))
     for rid, tokens in commits:
         uncrashed.commit_ring(tokens, c=1.0, ell=1, rid=rid)
     extra = ("r4", sorted(part.tokens_of(1)[0:2]))
-    with twins["replace"], twins["delta"], uncrashed:
-        # One more commit *after* recovery: the delta twin advances its
-        # recovered snapshot incrementally, the replace twin rebuilds.
-        for service in (*twins.values(), uncrashed):
+    with twin, uncrashed:
+        # One more commit *after* recovery: the twin advances its
+        # recovered snapshot incrementally.
+        for service in (twin, uncrashed):
             service.commit_ring(extra[1], c=1.0, ell=1, rid=extra[0])
         for request in select_battery(part):
             baseline = uncrashed.submit_wait(request, timeout=60.0)
-            assert baseline.epoch == 5
-            for mode, twin in twins.items():
-                answer = twin.submit_wait(request, timeout=60.0)
-                assert answer.epoch == 5
-                assert canon(answer) == canon(baseline), (
-                    f"{mode}-mode recovered twin diverged on "
-                    f"{request.request_id}"
-                )
-        assert twins["delta"].stats()["delta"]["commits"] == 1
-        assert twins["replace"].stats()["delta"]["commits"] == 0
+            answer = twin.submit_wait(request, timeout=60.0)
+            assert baseline.epoch == answer.epoch == 5
+            assert canon(answer) == canon(baseline), (
+                f"recovered twin diverged on {request.request_id}"
+            )
+        assert twin.stats()["delta"]["commits"] == 1
 
 
 def test_journaled_commit_is_idempotent_by_rid(tmp_path):

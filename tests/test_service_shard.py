@@ -108,21 +108,28 @@ def test_partition_rejects_unknown_and_spanning_rings():
 def test_commit_retains_untouched_batch_warm_state():
     universe = shard_universe()
     part = TokenPartition(universe, batches=4)
-    state = ServiceState(universe, (), partition=part)
+    seed = Ring("r0", frozenset(part.tokens_of(0)[0:2]), c=2.0, ell=2, seq=0)
+    state = ServiceState(universe, (seed,), partition=part)
     snap = state.current()
     touched_token = part.tokens_of(0)[0]
     kept_token = part.tokens_of(2)[0]
-    snap.solve_view(touched_token).solver_cache()
+    touched_view = snap.solve_view(touched_token)
+    cache = touched_view.solver_cache()
+    cache.base_worlds(cache.related_key([touched_token]))
     kept_view = snap.solve_view(kept_token)
     kept_view.solver_cache()
 
-    ring = Ring("c0", frozenset(part.tokens_of(0)[0:3]), c=2.0, ell=2, seq=0)
-    head = state.commit(ring, retain_untouched=True)
+    ring = Ring("c0", frozenset(part.tokens_of(0)[1:4]), c=2.0, ell=2, seq=1)
+    head = state.commit(ring)
 
     assert head.epoch == snap.epoch + 1
     assert head.solve_view(kept_token) is kept_view  # warm slice carried
-    assert head.solve_view(touched_token) is not snap.solve_view(touched_token)
-    assert state.caches_invalidated == 1  # only the touched batch dropped
+    assert head.solve_view(touched_token) is not touched_view  # advanced
+    # caches_invalidated counts commits that dropped warm solver state:
+    # here the touched batch's world set of r0's component.
+    assert state.delta_counters["worlds_invalidated"] == 1
+    assert state.delta_counters["parts_retained"] == 1
+    assert state.caches_invalidated == 1
 
 
 def test_partition_one_matches_unpartitioned_service():
